@@ -18,16 +18,13 @@
 //!   norm, per-phase wall-clock, K-FAC refresh counters) with JSON Lines
 //!   export.
 
-mod causal;
 mod checkpoint;
 mod corpus;
 mod data;
 mod metrics;
-pub mod parallel;
 mod pipeline;
 mod trainer;
 
-pub use causal::{train_causal_lm, CausalSampler};
 pub use checkpoint::{
     resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
 };

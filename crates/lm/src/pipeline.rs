@@ -40,9 +40,8 @@
 //! stage (or a coordinator starved of results) trips
 //! [`ExecError::Wedged`]. Neither deadlocks.
 
-use crate::checkpoint::{resolve_resume, CheckpointPolicy, ResumeFrom, TrainCheckpoint};
-use crate::metrics::{MetricsRecorder, PhaseTimings};
-use crate::trainer::AnyOpt;
+use crate::checkpoint::{CheckpointPolicy, ResumeFrom};
+use crate::trainer::{AnyOpt, GradSource};
 use crate::{OptimizerChoice, TrainRun, Trainer};
 use pipefisher_ckpt::CkptError;
 use pipefisher_core::{assign, AuxKind, DevicePlan, ExecutablePlan, PipeFisherConfig, PlanOp};
@@ -50,7 +49,9 @@ use pipefisher_core::{AssignError, PipeFisherSchedule};
 use pipefisher_nn::{
     BertForPreTraining, BertStage, ForwardCtx, PreTrainingBatch, StageOutput, StagedBert,
 };
-use pipefisher_optim::{fold_curvature_a, fold_curvature_b, refresh_inverses, LayerKfacState};
+use pipefisher_optim::{
+    fold_curvature_a, fold_curvature_b, refresh_inverses, KfacModel, LayerKfacState,
+};
 use pipefisher_pipeline::PipelineScheme;
 use pipefisher_sim::KindCost;
 use pipefisher_tensor::Matrix;
@@ -471,16 +472,6 @@ pub fn plan_for(opts: &PipelineOptions) -> Result<ExecutablePlan, ExecError> {
     ExecutablePlan::lower(&graph, schedule.as_ref(), AUX_GRANULARITY).map_err(ExecError::Plan)
 }
 
-/// Global L2 gradient norm over a staged model (same parameter order as the
-/// monolithic model, so the sum is bitwise the serial one).
-fn staged_grad_norm(staged: &mut StagedBert) -> f64 {
-    let mut sq = 0.0;
-    staged.visit_params(&mut |p| {
-        sq += p.grad.as_slice().iter().map(|v| v * v).sum::<f64>();
-    });
-    sq.sqrt()
-}
-
 struct WorkerHandle {
     cmd_tx: SyncSender<Cmd>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -501,14 +492,6 @@ fn shutdown_workers(workers: &mut Vec<WorkerHandle>) {
     }
 }
 
-/// Trips the abort latch with `fallback` (first fault wins), tears the
-/// worker fleet down, and returns the winning fault.
-fn abort_run(workers: &mut Vec<WorkerHandle>, abort: &Abort, fallback: ExecError) -> ExecError {
-    abort.trip(fallback);
-    shutdown_workers(workers);
-    abort.take().expect("abort latch tripped")
-}
-
 impl Trainer {
     /// Trains `model` for `steps` optimizer steps on a `D`-stage pipeline
     /// of worker threads, filling bubbles with K-FAC work per
@@ -519,8 +502,9 @@ impl Trainer {
     /// # Panics
     ///
     /// Panics if `opts.n_stages == 0`, `opts.n_micro == 0`, the model has
-    /// fewer blocks than stages need, or the scheme's own shape rules are
-    /// violated (Chimera needs even `D` and even `N`).
+    /// fewer blocks than stages need, the scheme's own shape rules are
+    /// violated (Chimera needs even `D` and even `N`), or the resume
+    /// checkpoint is past `steps`.
     pub fn run_pipelined(
         &mut self,
         mut model: BertForPreTraining,
@@ -533,38 +517,68 @@ impl Trainer {
             "run_pipelined: n_stages must be positive"
         );
         assert!(opts.n_micro > 0, "run_pipelined: n_micro must be positive");
-        let (d, n_micro) = (opts.n_stages, opts.n_micro);
         let plan = plan_for(opts)?;
-        let n_devices = plan.devices.len();
-
         // Checkpoint store / resume run before any worker exists, so a
         // failure here is a clean `Checkpoint` error with 0 completed steps.
-        let ckpt_err0 = |source: CkptError| ExecError::Checkpoint {
-            source,
-            completed_steps: 0,
-        };
-        let mut opt = AnyOpt::new(choice);
-        let store = match &opts.checkpoint {
-            Some(policy) => Some((policy, policy.open().map_err(ckpt_err0)?)),
-            None => None,
-        };
-        let mut start_step = 0usize;
-        if let Some(resume) = &opts.resume {
-            let path = resolve_resume(resume).map_err(ckpt_err0)?;
-            let tc = TrainCheckpoint::load(&path).map_err(ckpt_err0)?;
-            start_step = self
-                .restore_checkpoint(&tc, &mut opt, |bytes| model.import_params(bytes))
-                .map_err(ckpt_err0)?;
-        }
-        assert!(
-            start_step <= steps,
-            "resume checkpoint is past the requested step count \
-             ({start_step} > {steps})"
-        );
+        let start = self
+            .open_run(
+                choice,
+                steps,
+                opts.checkpoint.as_ref(),
+                opts.resume.as_ref(),
+                |bytes| model.import_params(bytes),
+            )
+            .map_err(|source| ExecError::Checkpoint {
+                source,
+                completed_steps: 0,
+            })?;
+        let mut src = Pipelined::spawn(StagedBert::from_model(model, opts.n_stages), plan, opts);
+        let run = self.train_loop(&mut src, start, steps, opts.n_micro)?;
+        shutdown_workers(&mut src.workers);
+        Ok(PipelineOutcome {
+            run,
+            model: src.staged.into_model(),
+            bubble_aux_ms: src.bubble_aux_ms,
+            bubble_idle_ms: src.bubble_idle_ms,
+            tail_aux_ms: src.tail_aux_ms,
+        })
+    }
+}
 
-        let mut staged = StagedBert::from_model(model, d);
-        // K-FAC layer names per stage, in `visit_linears` order — the index
-        // contract for loaned state vectors.
+/// The pipelined gradient source: the coordinator side of the executor.
+/// Each step it dispatches the micro-batches to one persistent worker per
+/// device, collects their losses and per-micro-batch gradient sets, and
+/// merges the sets into the staged model in serial micro-batch order; the
+/// update then runs on K-FAC state the workers already refreshed in
+/// bubbles.
+struct Pipelined<'o> {
+    opts: &'o PipelineOptions,
+    plan: ExecutablePlan,
+    staged: StagedBert,
+    /// K-FAC layer names per stage, in `visit_linears` order — the index
+    /// contract for loaned state vectors.
+    layer_names: Vec<Vec<String>>,
+    workers: Vec<WorkerHandle>,
+    abort: Arc<Abort>,
+    results: Receiver<WorkerMsg>,
+    /// Coordinator-held parameter shuttles and gradient-set pools, keyed by
+    /// (device, stage).
+    shuttles: HashMap<(usize, usize), ParamSet>,
+    pools: HashMap<(usize, usize), Vec<GradSet>>,
+    /// Layer states the workers handed back this step, returned to the
+    /// optimizer before its update.
+    returned_states: Vec<(usize, Vec<LayerKfacState>)>,
+    bubble_aux_ms: f64,
+    bubble_idle_ms: f64,
+    tail_aux_ms: f64,
+}
+
+impl<'o> Pipelined<'o> {
+    /// Spawns one persistent worker per device of `plan`, each holding
+    /// zero-gradient slot replicas of its hosted stages.
+    fn spawn(mut staged: StagedBert, plan: ExecutablePlan, opts: &'o PipelineOptions) -> Self {
+        let (d, n_micro) = (opts.n_stages, opts.n_micro);
+        let n_devices = plan.devices.len();
         let layer_names: Vec<Vec<String>> = (0..d)
             .map(|s| {
                 let mut names = Vec::new();
@@ -574,23 +588,20 @@ impl Trainer {
                 names
             })
             .collect();
-
-        // --- Spawn one persistent worker per device. -------------------
         let abort = Arc::new(Abort::default());
         let (res_tx, res_rx) = mpsc::channel::<WorkerMsg>();
-        let mut data_txs = Vec::with_capacity(n_devices);
-        let mut data_rxs: Vec<Option<Receiver<DataMsg>>> = Vec::with_capacity(n_devices);
-        for dev in 0..n_devices {
-            let hosted = plan.devices[dev].hosted_stages().len().max(1);
-            let (tx, rx) = mpsc::sync_channel::<DataMsg>(2 * n_micro * hosted + 4);
-            data_txs.push(tx);
-            data_rxs.push(Some(rx));
-        }
+        let (data_txs, data_rxs): (Vec<_>, Vec<_>) = plan
+            .devices
+            .iter()
+            .map(|dplan| {
+                let hosted = dplan.hosted_stages().len().max(1);
+                mpsc::sync_channel::<DataMsg>(2 * n_micro * hosted + 4)
+            })
+            .unzip();
         let mut workers: Vec<WorkerHandle> = Vec::with_capacity(n_devices);
-        // Coordinator-held shuttles and pools, keyed by (device, stage).
         let mut shuttles: HashMap<(usize, usize), ParamSet> = HashMap::new();
         let mut pools: HashMap<(usize, usize), Vec<GradSet>> = HashMap::new();
-        for (dev, data_rx_slot) in data_rxs.iter_mut().enumerate() {
+        for (dev, data_rx) in data_rxs.into_iter().enumerate() {
             let dplan = plan.devices[dev].clone();
             let mut hosts = HashMap::new();
             for s in dplan.hosted_stages() {
@@ -642,7 +653,7 @@ impl Trainer {
                 plan: Arc::new(dplan),
                 hosts,
                 cmd_rx,
-                data_rx: data_rx_slot.take().expect("receiver taken once"),
+                data_rx,
                 peers: data_txs
                     .iter()
                     .enumerate()
@@ -674,252 +685,234 @@ impl Trainer {
                 join: Some(join),
             });
         }
-        drop(res_tx);
-        drop(data_txs);
-
-        // --- Step loop (mirrors `run_accumulated` span for span). ------
-        let scale = 1.0 / n_micro as f64;
-        let mut losses = Vec::with_capacity(steps - start_step);
-        let mut recorder = MetricsRecorder::default();
-        let (mut bubble_aux_ms, mut bubble_idle_ms, mut tail_aux_ms) = (0.0, 0.0, 0.0);
-        let total_backwards = d * n_micro;
-        for step in start_step..steps {
-            let _step_span = pipefisher_trace::span("step", "train");
-            let alloc_before = pipefisher_trace::alloc_snapshot();
-            staged.zero_grad();
-            let refresh_curv = opt.refreshes_curvature_at(step);
-            let refresh_inv = opt.inverts_at(step);
-            let t0 = Instant::now();
-            let batches = {
-                let _span = pipefisher_trace::span("sample", "train");
-                Arc::new(self.sample_micro_batches(n_micro, refresh_curv))
-            };
-            let t1 = Instant::now();
-            let mut returned_states: Vec<(usize, Vec<LayerKfacState>)> = Vec::new();
-            let loss = {
-                let _span = pipefisher_trace::span("forward_backward", "train");
-                // Dispatch.
-                let kfac_step = opt.kfac_mut().map(|k| KfacStep {
-                    t: k.step_count() + 1,
-                    ema_decay: k.config().ema_decay,
-                    damping: k.config().damping,
-                    block_size: k.config().factor_block_size,
-                    refresh_curv,
-                    refresh_inv,
-                });
-                let loan = kfac_step.is_some() && (refresh_curv || refresh_inv);
-                for (dev, w) in workers.iter().enumerate() {
-                    let hosted = plan.devices[dev].hosted_stages();
-                    let mut params = Vec::with_capacity(hosted.len());
-                    let mut grad_pool = Vec::with_capacity(hosted.len());
-                    let mut kfac_states = Vec::new();
-                    for &s in &hosted {
-                        let pset = shuttles.get_mut(&(dev, s)).expect("shuttle exists");
-                        let mut i = 0;
-                        staged.stage_mut(s).visit_params(&mut |p| {
-                            pset[i].clone_from(&p.value);
-                            i += 1;
-                        });
-                        params.push((s, shuttles.remove(&(dev, s)).expect("shuttle exists")));
-                        grad_pool
-                            .push((s, std::mem::take(pools.get_mut(&(dev, s)).expect("pool"))));
-                        if loan && plan.capture_host[s] == dev {
-                            let k = opt.kfac_mut().expect("loan implies K-FAC");
-                            let states: Vec<LayerKfacState> = layer_names[s]
-                                .iter()
-                                .map(|name| k.take_state(name))
-                                .collect();
-                            kfac_states.push((s, states));
-                        }
-                    }
-                    let cmd = StepCmd {
-                        step,
-                        batches: Arc::clone(&batches),
-                        fill_bubbles: opts.fill_bubbles,
-                        params,
-                        grad_pool,
-                        kfac: kfac_step.clone(),
-                        kfac_states,
-                    };
-                    if w.cmd_tx.send(Cmd::Step(Box::new(cmd))).is_err() {
-                        let fallback = ExecError::StagePanic {
-                            device: dev,
-                            message: "worker exited before the step was dispatched".to_string(),
-                            completed_steps: step,
-                        };
-                        return Err(abort_run(&mut workers, &abort, fallback).with_completed(step));
-                    }
-                }
-                // Collect.
-                let mut loss_buf = vec![0.0f64; n_micro];
-                let mut loss_got = vec![false; n_micro];
-                let mut grad_sets: HashMap<(usize, usize), (usize, GradSet)> = HashMap::new();
-                let mut done = 0usize;
-                let mut last_msg = Instant::now();
-                loop {
-                    if done == n_devices
-                        && grad_sets.len() == total_backwards
-                        && loss_got.iter().all(|&g| g)
-                    {
-                        break;
-                    }
-                    match res_rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(WorkerMsg::Loss { mb, total_loss }) => {
-                            loss_buf[mb] = total_loss;
-                            loss_got[mb] = true;
-                            last_msg = Instant::now();
-                        }
-                        Ok(WorkerMsg::Grads {
-                            device,
-                            stage,
-                            mb,
-                            set,
-                        }) => {
-                            grad_sets.insert((stage, mb), (device, set));
-                            last_msg = Instant::now();
-                        }
-                        Ok(WorkerMsg::StepDone {
-                            device,
-                            params,
-                            kfac_states,
-                            bubble_aux_ms: aux,
-                            bubble_idle_ms: idle,
-                            tail_aux_ms: tail,
-                        }) => {
-                            for (s, pset) in params {
-                                shuttles.insert((device, s), pset);
-                            }
-                            returned_states.extend(kfac_states);
-                            bubble_aux_ms += aux;
-                            bubble_idle_ms += idle;
-                            tail_aux_ms += tail;
-                            done += 1;
-                            last_msg = Instant::now();
-                        }
-                        Ok(WorkerMsg::Fault { device }) => {
-                            let fallback = ExecError::StagePanic {
-                                device,
-                                message: "worker reported a fault".to_string(),
-                                completed_steps: step,
-                            };
-                            return Err(
-                                abort_run(&mut workers, &abort, fallback).with_completed(step)
-                            );
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if abort.is_tripped() || last_msg.elapsed() > opts.watchdog {
-                                let fallback = ExecError::Wedged {
-                                    waited: opts.watchdog,
-                                    detail: format!(
-                                        "coordinator starved of step-{step} results \
-                                         ({done}/{n_devices} devices done)"
-                                    ),
-                                    completed_steps: step,
-                                };
-                                return Err(
-                                    abort_run(&mut workers, &abort, fallback).with_completed(step)
-                                );
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            let fallback = ExecError::Wedged {
-                                waited: opts.watchdog,
-                                detail: "all workers exited mid-step".to_string(),
-                                completed_steps: step,
-                            };
-                            return Err(
-                                abort_run(&mut workers, &abort, fallback).with_completed(step)
-                            );
-                        }
-                    }
-                }
-                // Merge gradient contributions in serial micro-batch order.
-                for mb in 0..n_micro {
-                    for s in 0..d {
-                        let (device, mut set) =
-                            grad_sets.remove(&(s, mb)).expect("backward coverage");
-                        let mut i = 0;
-                        staged.stage_mut(s).visit_params(&mut |p| {
-                            p.grad.axpy(1.0, &set[i]);
-                            i += 1;
-                        });
-                        for m in &mut set {
-                            m.as_mut_slice().fill(0.0);
-                        }
-                        pools.get_mut(&(device, s)).expect("pool").push(set);
-                    }
-                }
-                loss_buf.iter().sum::<f64>() * scale
-            };
-            staged.visit_params(&mut |p| p.grad.scale_inplace(scale));
-            let t2 = Instant::now();
-            losses.push(loss);
-            pipefisher_trace::counter("loss", loss);
-            let grad_norm = staged_grad_norm(&mut staged);
-            let lr = self.schedule.lr_at(step);
-            let t3 = Instant::now();
-            {
-                let _span = pipefisher_trace::span("optimizer_step", "train");
-                if let Some(k) = opt.kfac_mut() {
-                    for (s, states) in returned_states.drain(..) {
-                        for (name, state) in layer_names[s].iter().zip(states) {
-                            k.put_state(name, state);
-                        }
-                    }
-                }
-                opt.apply_preconditioned(&mut staged, lr);
-            }
-            let t4 = Instant::now();
-            // Checkpoint at the step boundary: gradients are merged and the
-            // optimizer applied, so the captured state is exactly what the
-            // serial trainer would capture after the same step.
-            let mut ckpt_write_ms = 0.0;
-            if let Some((policy, dir)) = &store {
-                if policy.due(step + 1, steps) {
-                    let t5 = Instant::now();
-                    let snap = self
-                        .capture_checkpoint((step + 1) as u64, &opt, staged.export_params())
-                        .to_snapshot();
-                    if let Err(source) = dir.save((step + 1) as u64, &snap) {
-                        let fallback = ExecError::Checkpoint {
-                            source,
-                            completed_steps: step + 1,
-                        };
-                        return Err(
-                            abort_run(&mut workers, &abort, fallback).with_completed(step + 1)
-                        );
-                    }
-                    ckpt_write_ms = t5.elapsed().as_secs_f64() * 1e3;
-                }
-            }
-            recorder.record(
-                step,
-                loss,
-                grad_norm,
-                lr,
-                PhaseTimings {
-                    data_ms: (t1 - t0).as_secs_f64() * 1e3,
-                    forward_backward_ms: (t2 - t1).as_secs_f64() * 1e3,
-                    optimizer_ms: (t4 - t3).as_secs_f64() * 1e3,
-                },
-                refresh_curv,
-                refresh_inv,
-                pipefisher_trace::alloc_snapshot().since(&alloc_before),
-                ckpt_write_ms,
-            );
+        Pipelined {
+            opts,
+            plan,
+            staged,
+            layer_names,
+            workers,
+            abort,
+            results: res_rx,
+            shuttles,
+            pools,
+            returned_states: Vec::new(),
+            bubble_aux_ms: 0.0,
+            bubble_idle_ms: 0.0,
+            tail_aux_ms: 0.0,
         }
-        shutdown_workers(&mut workers);
-        Ok(PipelineOutcome {
-            run: TrainRun {
-                losses,
-                label: opt.label().to_string(),
-                metrics: recorder.into_rows(),
-            },
-            model: staged.into_model(),
-            bubble_aux_ms,
-            bubble_idle_ms,
-            tail_aux_ms,
-        })
+    }
+
+    /// Trips the abort latch with `fallback` (first fault wins), tears the
+    /// worker fleet down, and returns the winning fault stamped with the
+    /// coordinator's `completed` step count.
+    fn fail(&mut self, fallback: ExecError, completed: usize) -> ExecError {
+        self.abort.trip(fallback);
+        shutdown_workers(&mut self.workers);
+        self.abort
+            .take()
+            .expect("abort latch tripped")
+            .with_completed(completed)
+    }
+
+    /// Sends every device its step command: the current parameters (in the
+    /// device's shuttles), its zeroed gradient pools, and on a refresh step
+    /// the optimizer's K-FAC states for the stages it captures.
+    fn dispatch(
+        &mut self,
+        step: usize,
+        batches: &Arc<Vec<(PreTrainingBatch, ForwardCtx)>>,
+        opt: &mut AnyOpt,
+    ) -> Result<(), ExecError> {
+        let refresh_curv = opt.refreshes_curvature_at(step);
+        let refresh_inv = opt.inverts_at(step);
+        let kfac_step = opt.kfac_mut().map(|k| KfacStep {
+            t: k.step_count() + 1,
+            ema_decay: k.config().ema_decay,
+            damping: k.config().damping,
+            block_size: k.config().factor_block_size,
+            refresh_curv,
+            refresh_inv,
+        });
+        let loan = kfac_step.is_some() && (refresh_curv || refresh_inv);
+        for dev in 0..self.workers.len() {
+            let hosted = self.plan.devices[dev].hosted_stages();
+            let mut params = Vec::with_capacity(hosted.len());
+            let mut grad_pool = Vec::with_capacity(hosted.len());
+            let mut kfac_states = Vec::new();
+            for &s in &hosted {
+                let mut pset = self.shuttles.remove(&(dev, s)).expect("shuttle exists");
+                let mut i = 0;
+                self.staged.stage_mut(s).visit_params(&mut |p| {
+                    pset[i].clone_from(&p.value);
+                    i += 1;
+                });
+                params.push((s, pset));
+                grad_pool.push((
+                    s,
+                    std::mem::take(self.pools.get_mut(&(dev, s)).expect("pool")),
+                ));
+                if loan && self.plan.capture_host[s] == dev {
+                    let k = opt.kfac_mut().expect("loan implies K-FAC");
+                    let states: Vec<LayerKfacState> = self.layer_names[s]
+                        .iter()
+                        .map(|name| k.take_state(name))
+                        .collect();
+                    kfac_states.push((s, states));
+                }
+            }
+            let cmd = StepCmd {
+                step,
+                batches: Arc::clone(batches),
+                fill_bubbles: self.opts.fill_bubbles,
+                params,
+                grad_pool,
+                kfac: kfac_step.clone(),
+                kfac_states,
+            };
+            if self.workers[dev]
+                .cmd_tx
+                .send(Cmd::Step(Box::new(cmd)))
+                .is_err()
+            {
+                let fallback = ExecError::StagePanic {
+                    device: dev,
+                    message: "worker exited before the step was dispatched".to_string(),
+                    completed_steps: step,
+                };
+                return Err(self.fail(fallback, step));
+            }
+        }
+        Ok(())
+    }
+
+    /// Collects the step's per-micro-batch losses and gradient sets from
+    /// the workers, under the watchdog, then merges the sets into the
+    /// staged model in serial micro-batch order and recycles them. Returns
+    /// the losses in micro-batch order.
+    fn collect_and_merge(&mut self, step: usize) -> Result<Vec<f64>, ExecError> {
+        let (d, n_micro) = (self.opts.n_stages, self.opts.n_micro);
+        let n_devices = self.workers.len();
+        let watchdog = self.opts.watchdog;
+        let mut loss_buf = vec![0.0f64; n_micro];
+        let mut loss_got = vec![false; n_micro];
+        let mut grad_sets: HashMap<(usize, usize), (usize, GradSet)> = HashMap::new();
+        let mut done = 0usize;
+        let mut last_msg = Instant::now();
+        while done < n_devices || grad_sets.len() < d * n_micro || !loss_got.iter().all(|&g| g) {
+            let fallback = match self.results.recv_timeout(Duration::from_millis(20)) {
+                Ok(WorkerMsg::Loss { mb, total_loss }) => {
+                    loss_buf[mb] = total_loss;
+                    loss_got[mb] = true;
+                    last_msg = Instant::now();
+                    continue;
+                }
+                Ok(WorkerMsg::Grads {
+                    device,
+                    stage,
+                    mb,
+                    set,
+                }) => {
+                    grad_sets.insert((stage, mb), (device, set));
+                    last_msg = Instant::now();
+                    continue;
+                }
+                Ok(WorkerMsg::StepDone {
+                    device,
+                    params,
+                    kfac_states,
+                    bubble_aux_ms,
+                    bubble_idle_ms,
+                    tail_aux_ms,
+                }) => {
+                    for (s, pset) in params {
+                        self.shuttles.insert((device, s), pset);
+                    }
+                    self.returned_states.extend(kfac_states);
+                    self.bubble_aux_ms += bubble_aux_ms;
+                    self.bubble_idle_ms += bubble_idle_ms;
+                    self.tail_aux_ms += tail_aux_ms;
+                    done += 1;
+                    last_msg = Instant::now();
+                    continue;
+                }
+                Ok(WorkerMsg::Fault { device }) => ExecError::StagePanic {
+                    device,
+                    message: "worker reported a fault".to_string(),
+                    completed_steps: step,
+                },
+                Err(RecvTimeoutError::Timeout) => {
+                    if !self.abort.is_tripped() && last_msg.elapsed() <= watchdog {
+                        continue;
+                    }
+                    ExecError::Wedged {
+                        waited: watchdog,
+                        detail: format!(
+                            "coordinator starved of step-{step} results \
+                             ({done}/{n_devices} devices done)"
+                        ),
+                        completed_steps: step,
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => ExecError::Wedged {
+                    waited: watchdog,
+                    detail: "all workers exited mid-step".to_string(),
+                    completed_steps: step,
+                },
+            };
+            return Err(self.fail(fallback, step));
+        }
+        for mb in 0..n_micro {
+            for s in 0..d {
+                let (device, mut set) = grad_sets.remove(&(s, mb)).expect("backward coverage");
+                let mut i = 0;
+                self.staged.stage_mut(s).visit_params(&mut |p| {
+                    p.grad.axpy(1.0, &set[i]);
+                    i += 1;
+                });
+                for m in &mut set {
+                    m.as_mut_slice().fill(0.0);
+                }
+                self.pools.get_mut(&(device, s)).expect("pool").push(set);
+            }
+        }
+        Ok(loss_buf)
+    }
+}
+
+impl GradSource for Pipelined<'_> {
+    type Error = ExecError;
+
+    fn model(&mut self) -> &mut dyn KfacModel {
+        &mut self.staged
+    }
+
+    fn forward_backward(
+        &mut self,
+        step: usize,
+        batches: Vec<(PreTrainingBatch, ForwardCtx)>,
+        opt: &mut AnyOpt,
+    ) -> Result<f64, ExecError> {
+        self.dispatch(step, &Arc::new(batches), opt)?;
+        Ok(self.collect_and_merge(step)?.iter().sum())
+    }
+
+    fn optimizer_step(&mut self, opt: &mut AnyOpt, lr: f64) {
+        if let Some(k) = opt.kfac_mut() {
+            for (s, states) in self.returned_states.drain(..) {
+                for (name, state) in self.layer_names[s].iter().zip(states) {
+                    k.put_state(name, state);
+                }
+            }
+        }
+        opt.apply_preconditioned(&mut self.staged, lr);
+    }
+
+    fn checkpoint_error(&mut self, source: CkptError, completed_steps: usize) -> ExecError {
+        let fallback = ExecError::Checkpoint {
+            source,
+            completed_steps,
+        };
+        self.fail(fallback, completed_steps)
     }
 }
 

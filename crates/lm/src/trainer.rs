@@ -1,17 +1,20 @@
 //! Pretraining loops with loss tracking (the Figure 6 machinery) and
 //! per-step metrics/trace instrumentation.
 
-use crate::checkpoint::{resolve_resume, CheckpointOptions, TrainCheckpoint};
+use crate::checkpoint::{
+    resolve_resume, CheckpointOptions, CheckpointPolicy, ResumeFrom, TrainCheckpoint,
+};
 use crate::metrics::{MetricsRecorder, PhaseTimings};
 use crate::{BatchSampler, StepMetrics};
-use pipefisher_ckpt::{CkptError, SectionReader, SectionWriter};
-use pipefisher_nn::{BertForPreTraining, ForwardCtx, PreTrainingBatch};
+use pipefisher_ckpt::{CheckpointDir, CkptError, SectionReader, SectionWriter};
+use pipefisher_nn::{export_params_with, BertForPreTraining, ForwardCtx, PreTrainingBatch};
 use pipefisher_optim::{
     Kfac, KfacConfig, KfacModel, Lamb, LrSchedule, Optimizer, Shampoo, ShampooConfig, StateSnapshot,
 };
-use pipefisher_tensor::par;
+use pipefisher_tensor::{par, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Which optimizer a [`Trainer`] runs — the paper's two contenders.
@@ -109,8 +112,105 @@ impl Default for TrainOptions {
 pub struct Trainer {
     sampler: BatchSampler,
     batch_size: usize,
-    pub(crate) schedule: LrSchedule,
+    schedule: LrSchedule,
     data_rng: StdRng,
+}
+
+/// The part of a training step that differs between serial,
+/// delayed-gradient and pipelined runs: how the step's micro-batch
+/// gradients get into the model, and how the update is applied. Everything
+/// else — sampling, spans, mean-scaling, grad norm, learning rate,
+/// checkpoints and metrics — is [`Trainer::train_loop`]'s.
+pub(crate) trait GradSource {
+    /// What a step can fail with.
+    type Error;
+
+    /// The model the optimizer updates.
+    fn model(&mut self) -> &mut dyn KfacModel;
+
+    /// Runs forward and backward over the step's micro-batches, leaving
+    /// their *summed* gradients in [`GradSource::model`] (whose gradients
+    /// are zero on entry); returns the summed loss.
+    fn forward_backward(
+        &mut self,
+        step: usize,
+        batches: Vec<(PreTrainingBatch, ForwardCtx)>,
+        opt: &mut AnyOpt,
+    ) -> Result<f64, Self::Error>;
+
+    /// Called with the step's mean gradient in the model; puts the
+    /// gradient the update consumes in its place. Returns `false` to skip
+    /// this step's update.
+    fn settle_gradient(&mut self) -> bool {
+        true
+    }
+
+    /// Applies one optimizer update to the settled gradient.
+    fn optimizer_step(&mut self, opt: &mut AnyOpt, lr: f64);
+
+    /// Turns a failed checkpoint write after `completed_steps` steps into
+    /// this source's error, releasing whatever the source holds.
+    fn checkpoint_error(&mut self, source: CkptError, completed_steps: usize) -> Self::Error;
+}
+
+/// Where [`Trainer::train_loop`] starts: the optimizer (restored when
+/// resuming), the open checkpoint store, and the first step to run.
+pub(crate) struct RunStart<'p> {
+    opt: AnyOpt,
+    store: Option<(&'p CheckpointPolicy, CheckpointDir)>,
+    start_step: usize,
+}
+
+/// The serial gradient source: accumulates the step's micro-batches on the
+/// monolithic model. With `delay > 0` it emulates an asynchronous pipeline
+/// (App. C.1): each update consumes the gradient computed `delay` steps
+/// ago (`θ_{t+1} = θ_t − η·g_{t−m}`), and the first `delay` steps, while
+/// the queue fills, skip the update.
+struct Serial<'m> {
+    model: &'m mut BertForPreTraining,
+    delay: usize,
+    queue: VecDeque<Vec<Matrix>>,
+}
+
+impl GradSource for Serial<'_> {
+    type Error = CkptError;
+
+    fn model(&mut self) -> &mut dyn KfacModel {
+        self.model
+    }
+
+    fn forward_backward(
+        &mut self,
+        _step: usize,
+        batches: Vec<(PreTrainingBatch, ForwardCtx)>,
+        _opt: &mut AnyOpt,
+    ) -> Result<f64, CkptError> {
+        Ok(accumulate_micro_batches(self.model, &batches).iter().sum())
+    }
+
+    fn settle_gradient(&mut self) -> bool {
+        if self.delay == 0 {
+            return true;
+        }
+        let mut fresh = Vec::new();
+        self.model.visit_params(&mut |p| fresh.push(p.grad.clone()));
+        self.queue.push_back(fresh);
+        if self.queue.len() <= self.delay {
+            return false;
+        }
+        let mut stale = self.queue.pop_front().expect("queue nonempty").into_iter();
+        self.model
+            .visit_params(&mut |p| p.grad = stale.next().expect("one gradient per parameter"));
+        true
+    }
+
+    fn optimizer_step(&mut self, opt: &mut AnyOpt, lr: f64) {
+        opt.apply(self.model, lr);
+    }
+
+    fn checkpoint_error(&mut self, source: CkptError, _completed_steps: usize) -> CkptError {
+        source
+    }
 }
 
 impl Trainer {
@@ -139,124 +239,216 @@ impl Trainer {
         steps: usize,
         opts: &TrainOptions,
     ) -> TrainRun {
-        assert!(
-            opts.accumulation_steps > 0,
-            "accumulation_steps must be positive"
-        );
         if opts.grad_delay > 0 {
             assert!(
                 matches!(choice, OptimizerChoice::Lamb { .. }),
                 "grad_delay models asynchronous first-order pipelines; use Lamb"
             );
-            return self.run_stale_lamb(model, choice, steps, opts);
         }
-        self.run_accumulated(model, choice, steps, opts.accumulation_steps)
-    }
-
-    /// Samples the step's micro-batches up front (serially, preserving the
-    /// data RNG stream) with the forward context each one should use.
-    pub(crate) fn sample_micro_batches(
-        &mut self,
-        accumulation: usize,
-        capture_last: bool,
-    ) -> Vec<(PreTrainingBatch, ForwardCtx)> {
-        (0..accumulation)
-            .map(|acc| {
-                // Capture curvature statistics on the last micro-batch of a
-                // refresh step (a fresh sample of the same distribution, as
-                // PipeFisher's per-step curvature uses one step's
-                // micro-batches).
-                let ctx = if capture_last && acc == accumulation - 1 {
-                    ForwardCtx::train_with_capture()
-                } else {
-                    ForwardCtx::train()
-                };
-                (
-                    self.sampler.sample(self.batch_size, &mut self.data_rng),
-                    ctx,
-                )
-            })
-            .collect()
-    }
-
-    /// One optimizer-agnostic accumulated-step loop: sample → accumulate
-    /// micro-batch gradients → scale to the mean → update, with trace spans
-    /// and a [`StepMetrics`] row per step. `accumulation == 1` reproduces
-    /// the plain per-step loop bitwise (`scale_inplace(1.0)` is exact).
-    fn run_accumulated(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-        accumulation: usize,
-    ) -> TrainRun {
-        self.run_accumulated_ckpt(model, choice, steps, accumulation, None)
+        self.run_serial(model, choice, steps, opts, &CheckpointOptions::default())
             .expect("no checkpointing requested, so no checkpoint errors")
     }
 
-    /// The accumulated loop with optional checkpoint save/resume. With
-    /// `ckpt == None` (or an empty [`CheckpointOptions`]) the loop body is
-    /// unchanged, so plain runs are bitwise identical to the historical
-    /// ones.
-    fn run_accumulated_ckpt(
+    /// Trains `model` for `steps` steps, returning the loss history.
+    ///
+    /// Runs the step loop with a single micro-batch per step, which is
+    /// bitwise identical to a plain per-step loop (the mean-scaling
+    /// multiplies by exactly 1.0).
+    pub fn run(
         &mut self,
         model: &mut BertForPreTraining,
         choice: &OptimizerChoice,
         steps: usize,
-        accumulation: usize,
-        ckpt: Option<&CheckpointOptions>,
+    ) -> TrainRun {
+        self.run_with_options(model, choice, steps, &TrainOptions::default())
+    }
+
+    /// Like [`Trainer::run_with_options`] with crash-safe checkpointing:
+    /// saves per `ckpt.save` (atomically, after the optimizer update of a
+    /// due step) and/or resumes from `ckpt.resume` before the first step.
+    ///
+    /// A resumed run is *bitwise-invisible*: its per-step losses and final
+    /// parameters equal the corresponding tail of an uninterrupted run,
+    /// because the checkpoint captures every piece of mutable loop state —
+    /// parameters, optimizer state (including the K-FAC/Shampoo cadence
+    /// counters), and the data-RNG stream. The returned [`TrainRun`] covers
+    /// steps `next_step..steps` (its metric rows carry absolute step
+    /// indices).
+    ///
+    /// # Errors
+    ///
+    /// Any checkpoint I/O, validation, or compatibility failure (corrupt
+    /// file, shape mismatch, optimizer mismatch) is a structured
+    /// [`CkptError`]; nothing is trained on a partially restored state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.accumulation_steps == 0`, if `opts.grad_delay > 0`
+    /// (stale-gradient emulation keeps an in-flight gradient queue that is
+    /// deliberately not checkpointable), or if the resume checkpoint is
+    /// past `steps`.
+    pub fn run_checkpointed(
+        &mut self,
+        model: &mut BertForPreTraining,
+        choice: &OptimizerChoice,
+        steps: usize,
+        opts: &TrainOptions,
+        ckpt: &CheckpointOptions,
     ) -> Result<TrainRun, CkptError> {
-        let scale = 1.0 / accumulation as f64;
-        let mut opt = AnyOpt::new(choice);
-        let mut start_step = 0usize;
-        let store = match ckpt.and_then(|c| c.save.as_ref()) {
-            Some(policy) => Some((policy, policy.open()?)),
-            None => None,
+        assert!(
+            opts.grad_delay == 0,
+            "checkpointing does not support grad_delay (in-flight stale-gradient queue)"
+        );
+        self.run_serial(model, choice, steps, opts, ckpt)
+    }
+
+    /// The serial and delayed-gradient runs: [`Trainer::train_loop`] over
+    /// the [`Serial`] source.
+    fn run_serial(
+        &mut self,
+        model: &mut BertForPreTraining,
+        choice: &OptimizerChoice,
+        steps: usize,
+        opts: &TrainOptions,
+        ckpt: &CheckpointOptions,
+    ) -> Result<TrainRun, CkptError> {
+        assert!(
+            opts.accumulation_steps > 0,
+            "accumulation_steps must be positive"
+        );
+        let start = self.open_run(
+            choice,
+            steps,
+            ckpt.save.as_ref(),
+            ckpt.resume.as_ref(),
+            |bytes| model.import_params(bytes),
+        )?;
+        let mut src = Serial {
+            model,
+            delay: opts.grad_delay,
+            queue: VecDeque::new(),
         };
-        if let Some(resume) = ckpt.and_then(|c| c.resume.as_ref()) {
-            let path = resolve_resume(resume)?;
-            let tc = TrainCheckpoint::load(&path)?;
-            start_step =
-                self.restore_checkpoint(&tc, &mut opt, |bytes| model.import_params(bytes))?;
+        let mut run = self.train_loop(&mut src, start, steps, opts.accumulation_steps)?;
+        if opts.grad_delay > 0 {
+            run.label = format!("NVLAMB (grad delay {})", opts.grad_delay);
         }
-        let mut losses = Vec::with_capacity(steps.saturating_sub(start_step));
+        Ok(run)
+    }
+
+    /// Opens the run's checkpoint store and restores `resume` before the
+    /// first step — the model section through `import_model`, so the
+    /// pipelined executor can restore before it stages the model and spawns
+    /// any worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the resume checkpoint is past `steps`.
+    pub(crate) fn open_run<'p>(
+        &mut self,
+        choice: &OptimizerChoice,
+        steps: usize,
+        save: Option<&'p CheckpointPolicy>,
+        resume: Option<&ResumeFrom>,
+        import_model: impl FnOnce(&[u8]) -> Result<(), CkptError>,
+    ) -> Result<RunStart<'p>, CkptError> {
+        let mut opt = AnyOpt::new(choice);
+        let store = save.map(|p| p.open().map(|dir| (p, dir))).transpose()?;
+        let mut start_step = 0;
+        if let Some(resume) = resume {
+            let tc = TrainCheckpoint::load(&resolve_resume(resume)?)?;
+            if tc.optimizer_label != opt.label() {
+                return Err(CkptError::OptimizerMismatch {
+                    expected: opt.label().to_string(),
+                    found: tc.optimizer_label,
+                });
+            }
+            import_model(&tc.model)?;
+            opt.import_state(&tc.optim)?;
+            self.set_rng_state(tc.rng);
+            start_step = tc.next_step as usize;
+        }
+        assert!(
+            start_step <= steps,
+            "resume checkpoint is past the requested step count \
+             ({start_step} > {steps})"
+        );
+        Ok(RunStart {
+            opt,
+            store,
+            start_step,
+        })
+    }
+
+    /// The one training step loop behind every entry point: sample →
+    /// forward/backward (by `src`) → mean-scale → grad norm and learning
+    /// rate → update (by `src`) → checkpoint → metrics row, with a trace
+    /// span per phase. Checkpoints are written at step boundaries, after
+    /// the update, so serial and pipelined checkpoints of the same step are
+    /// byte-identical.
+    pub(crate) fn train_loop<S: GradSource>(
+        &mut self,
+        src: &mut S,
+        start: RunStart<'_>,
+        steps: usize,
+        n_micro: usize,
+    ) -> Result<TrainRun, S::Error> {
+        let RunStart {
+            mut opt,
+            store,
+            start_step,
+        } = start;
+        let scale = 1.0 / n_micro as f64;
+        let mut losses = Vec::with_capacity(steps - start_step);
         let mut recorder = MetricsRecorder::default();
         for step in start_step..steps {
             let _step_span = pipefisher_trace::span("step", "train");
             let alloc_before = pipefisher_trace::alloc_snapshot();
-            model.zero_grad();
+            src.model()
+                .visit_all_params(&mut |p| p.grad.scale_inplace(0.0));
             let refresh = opt.refreshes_curvature_at(step);
             let t0 = Instant::now();
             let batches = {
                 let _span = pipefisher_trace::span("sample", "train");
-                self.sample_micro_batches(accumulation, refresh)
+                self.sample_micro_batches(n_micro, refresh)
             };
             let t1 = Instant::now();
             let loss = {
                 let _span = pipefisher_trace::span("forward_backward", "train");
-                let total: f64 = accumulate_micro_batches(model, &batches).iter().sum();
-                total * scale
+                src.forward_backward(step, batches, &mut opt)? * scale
             };
-            model.visit_params(&mut |p| p.grad.scale_inplace(scale));
+            src.model()
+                .visit_all_params(&mut |p| p.grad.scale_inplace(scale));
             let t2 = Instant::now();
             losses.push(loss);
             pipefisher_trace::counter("loss", loss);
-            let grad_norm = global_grad_norm(model);
-            let lr = self.schedule.lr_at(step);
+            let applies = src.settle_gradient();
+            let grad_norm = grad_norm(src.model());
+            let lr = if applies {
+                self.schedule.lr_at(step)
+            } else {
+                0.0
+            };
             let t3 = Instant::now();
-            {
+            if applies {
                 let _span = pipefisher_trace::span("optimizer_step", "train");
-                opt.apply(model, lr);
+                src.optimizer_step(&mut opt, lr);
             }
             let t4 = Instant::now();
             let mut ckpt_write_ms = 0.0;
             if let Some((policy, dir)) = &store {
                 if policy.due(step + 1, steps) {
                     let tw = Instant::now();
-                    let snap = self
-                        .capture_checkpoint((step + 1) as u64, &opt, model.export_params())
-                        .to_snapshot();
-                    dir.save((step + 1) as u64, &snap)?;
+                    let snap = TrainCheckpoint {
+                        next_step: (step + 1) as u64,
+                        optimizer_label: opt.label().to_string(),
+                        model: export_params_with(|f| src.model().visit_all_params(f)),
+                        optim: opt.export_state(),
+                        rng: self.rng_state(),
+                    }
+                    .to_snapshot();
+                    if let Err(e) = dir.save((step + 1) as u64, &snap) {
+                        return Err(src.checkpoint_error(e, step + 1));
+                    }
                     ckpt_write_ms = tw.elapsed().as_secs_f64() * 1e3;
                 }
             }
@@ -283,138 +475,30 @@ impl Trainer {
         })
     }
 
-    fn run_stale_lamb(
+    /// Samples the step's micro-batches up front (serially, preserving the
+    /// data RNG stream) with the forward context each one should use.
+    fn sample_micro_batches(
         &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-        opts: &TrainOptions,
-    ) -> TrainRun {
-        let OptimizerChoice::Lamb { weight_decay } = choice else {
-            unreachable!()
-        };
-        let mut opt = Lamb::new(*weight_decay);
-        let mut losses = Vec::with_capacity(steps);
-        let mut recorder = MetricsRecorder::default();
-        // Queue of delayed gradients: (name → grad) snapshots.
-        let mut queue: std::collections::VecDeque<Vec<pipefisher_tensor::Matrix>> =
-            std::collections::VecDeque::new();
-        for step in 0..steps {
-            let _step_span = pipefisher_trace::span("step", "train");
-            let alloc_before = pipefisher_trace::alloc_snapshot();
-            let t0 = Instant::now();
-            let batch = {
-                let _span = pipefisher_trace::span("sample", "train");
-                self.sampler.sample(self.batch_size, &mut self.data_rng)
-            };
-            let t1 = Instant::now();
-            model.zero_grad();
-            let out = {
-                let _span = pipefisher_trace::span("forward_backward", "train");
-                model.train_step(&batch, &ForwardCtx::train())
-            };
-            let t2 = Instant::now();
-            losses.push(out.total_loss);
-            pipefisher_trace::counter("loss", out.total_loss);
-            // Snapshot the fresh gradient, then apply the one from m steps ago.
-            let mut snapshot = Vec::new();
-            model.visit_params(&mut |p| snapshot.push(p.grad.clone()));
-            queue.push_back(snapshot);
-            let mut lr = 0.0;
-            let t3 = Instant::now();
-            if queue.len() > opts.grad_delay {
-                let _span = pipefisher_trace::span("optimizer_step", "train");
-                let stale = queue.pop_front().expect("queue nonempty");
-                let mut idx = 0;
-                model.visit_params(&mut |p| {
-                    p.grad = stale[idx].clone();
-                    idx += 1;
-                });
-                lr = self.schedule.lr_at(step);
-                opt.begin_step();
-                model.visit_params(&mut |p| opt.step_param(p, lr));
-            }
-            let t4 = Instant::now();
-            // Gradient norm of the gradient the optimizer consumed (the
-            // stale one once the queue is full; the fresh one before).
-            let grad_norm = global_grad_norm(model);
-            recorder.record(
-                step,
-                out.total_loss,
-                grad_norm,
-                lr,
-                PhaseTimings {
-                    data_ms: (t1 - t0).as_secs_f64() * 1e3,
-                    forward_backward_ms: (t2 - t1).as_secs_f64() * 1e3,
-                    optimizer_ms: (t4 - t3).as_secs_f64() * 1e3,
-                },
-                false,
-                false,
-                pipefisher_trace::alloc_snapshot().since(&alloc_before),
-                0.0,
-            );
-        }
-        TrainRun {
-            losses,
-            label: format!("NVLAMB (grad delay {})", opts.grad_delay),
-            metrics: recorder.into_rows(),
-        }
-    }
-
-    /// Trains `model` for `steps` steps, returning the loss history.
-    ///
-    /// Runs the accumulated loop with a single micro-batch per step, which
-    /// is bitwise identical to the historical dedicated per-step loop (the
-    /// mean-scaling multiplies by exactly 1.0).
-    pub fn run(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-    ) -> TrainRun {
-        self.run_accumulated(model, choice, steps, 1)
-    }
-
-    /// Like [`Trainer::run_with_options`] with crash-safe checkpointing:
-    /// saves per `ckpt.save` (atomically, after the optimizer update of a
-    /// due step) and/or resumes from `ckpt.resume` before the first step.
-    ///
-    /// A resumed run is *bitwise-invisible*: its per-step losses and final
-    /// parameters equal the corresponding tail of an uninterrupted run,
-    /// because the checkpoint captures every piece of mutable loop state —
-    /// parameters, optimizer state (including the K-FAC/Shampoo cadence
-    /// counters), and the data-RNG stream. The returned [`TrainRun`] covers
-    /// steps `next_step..steps` (its metric rows carry absolute step
-    /// indices).
-    ///
-    /// # Errors
-    ///
-    /// Any checkpoint I/O, validation, or compatibility failure (corrupt
-    /// file, shape mismatch, optimizer mismatch) is a structured
-    /// [`CkptError`]; nothing is trained on a partially restored state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.accumulation_steps == 0` or `opts.grad_delay > 0`
-    /// (stale-gradient emulation keeps an in-flight gradient queue that is
-    /// deliberately not checkpointable).
-    pub fn run_checkpointed(
-        &mut self,
-        model: &mut BertForPreTraining,
-        choice: &OptimizerChoice,
-        steps: usize,
-        opts: &TrainOptions,
-        ckpt: &CheckpointOptions,
-    ) -> Result<TrainRun, CkptError> {
-        assert!(
-            opts.accumulation_steps > 0,
-            "accumulation_steps must be positive"
-        );
-        assert!(
-            opts.grad_delay == 0,
-            "checkpointing does not support grad_delay (in-flight stale-gradient queue)"
-        );
-        self.run_accumulated_ckpt(model, choice, steps, opts.accumulation_steps, Some(ckpt))
+        accumulation: usize,
+        capture_last: bool,
+    ) -> Vec<(PreTrainingBatch, ForwardCtx)> {
+        (0..accumulation)
+            .map(|acc| {
+                // Capture curvature statistics on the last micro-batch of a
+                // refresh step (a fresh sample of the same distribution, as
+                // PipeFisher's per-step curvature uses one step's
+                // micro-batches).
+                let ctx = if capture_last && acc == accumulation - 1 {
+                    ForwardCtx::train_with_capture()
+                } else {
+                    ForwardCtx::train()
+                };
+                (
+                    self.sampler.sample(self.batch_size, &mut self.data_rng),
+                    ctx,
+                )
+            })
+            .collect()
     }
 
     /// Raw xoshiro state of the data RNG — the complete data-loader cursor,
@@ -427,59 +511,23 @@ impl Trainer {
     pub fn set_rng_state(&mut self, state: [u64; 4]) {
         self.data_rng = StdRng::from_state(state);
     }
-
-    /// Builds the full checkpoint for a loop about to run step `next_step`,
-    /// given the already-exported model section.
-    pub(crate) fn capture_checkpoint(
-        &self,
-        next_step: u64,
-        opt: &AnyOpt,
-        model: Vec<u8>,
-    ) -> TrainCheckpoint {
-        TrainCheckpoint {
-            next_step,
-            optimizer_label: opt.label().to_string(),
-            model,
-            optim: opt.export_state(),
-            rng: self.rng_state(),
-        }
-    }
-
-    /// Restores a loaded checkpoint into this trainer and `opt`, importing
-    /// the model section through `import_model` (monolithic or staged).
-    /// Returns the step index to resume the loop at.
-    pub(crate) fn restore_checkpoint(
-        &mut self,
-        tc: &TrainCheckpoint,
-        opt: &mut AnyOpt,
-        import_model: impl FnOnce(&[u8]) -> Result<(), CkptError>,
-    ) -> Result<usize, CkptError> {
-        if tc.optimizer_label != opt.label() {
-            return Err(CkptError::OptimizerMismatch {
-                expected: opt.label().to_string(),
-                found: tc.optimizer_label.clone(),
-            });
-        }
-        import_model(&tc.model)?;
-        opt.import_state(&tc.optim)?;
-        self.set_rng_state(tc.rng);
-        Ok(tc.next_step as usize)
-    }
 }
 
-/// Global L2 norm over every parameter gradient.
-fn global_grad_norm(model: &mut BertForPreTraining) -> f64 {
+/// Global L2 norm over every parameter gradient, in the model's
+/// `visit_all_params` order (a [`StagedBert`](pipefisher_nn::StagedBert)
+/// visits in the monolithic order, so the sum is the serial one bitwise).
+fn grad_norm(model: &mut dyn KfacModel) -> f64 {
     let mut sq = 0.0;
-    model.visit_params(&mut |p| {
+    model.visit_all_params(&mut |p| {
         sq += p.grad.as_slice().iter().map(|v| v * v).sum::<f64>();
     });
     sq.sqrt()
 }
 
-/// The trainer's optimizer dispatch: one enum instead of three copies of
-/// the step loop, carrying what the metrics recorder needs (labels and the
-/// K-FAC refresh cadence). Crate-visible so the pipeline executor reuses
-/// the identical dispatch (and K-FAC state plumbing) for its steps.
+/// The trainer's optimizer dispatch, carrying what the metrics recorder
+/// needs (labels and the K-FAC refresh cadence). Crate-visible so the
+/// pipelined gradient source drives the identical dispatch (and K-FAC state
+/// plumbing).
 pub(crate) enum AnyOpt {
     Lamb(Lamb),
     Kfac { opt: Kfac<Lamb>, config: KfacConfig },
@@ -487,7 +535,7 @@ pub(crate) enum AnyOpt {
 }
 
 impl AnyOpt {
-    pub(crate) fn new(choice: &OptimizerChoice) -> AnyOpt {
+    fn new(choice: &OptimizerChoice) -> AnyOpt {
         match choice {
             OptimizerChoice::Lamb { weight_decay } => AnyOpt::Lamb(Lamb::new(*weight_decay)),
             OptimizerChoice::Kfac { weight_decay, kfac } => AnyOpt::Kfac {
@@ -498,7 +546,7 @@ impl AnyOpt {
         }
     }
 
-    pub(crate) fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             AnyOpt::Lamb(_) => "NVLAMB",
             AnyOpt::Kfac { .. } => "K-FAC",
@@ -570,7 +618,7 @@ impl AnyOpt {
 
     /// Serializes the wrapped optimizer's mutable state, tagged by kind so
     /// a checkpoint can never be restored into the wrong optimizer.
-    pub(crate) fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         let mut w = SectionWriter::new();
         let (tag, blob) = match self {
             AnyOpt::Lamb(o) => (0u8, o.export_state()),
@@ -585,7 +633,7 @@ impl AnyOpt {
 
     /// Restores state captured by [`AnyOpt::export_state`]. A tag for a
     /// different optimizer kind is [`CkptError::OptimizerMismatch`].
-    pub(crate) fn import_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = SectionReader::new("optim", bytes);
         let tag = r.u8()?;
         let found = match tag {
@@ -618,16 +666,25 @@ impl AnyOpt {
 ///
 /// With a single worker lane (`PIPEFISHER_THREADS=1`, one available core, or
 /// a single micro-batch) this is exactly the serial loop the trainer has
-/// always run, so single-threaded results are bitwise unchanged. With more
-/// lanes the micro-batches split into contiguous blocks, each block runs on
-/// a clone of `model`, and the replica gradients merge back into `model` in
-/// block order via `axpy(1.0, ·)` (a ×1.0 multiply is exact, so the merge
-/// adds no rounding beyond its summation order). Runs are deterministic for
-/// a fixed thread count, but the block-wise gradient association differs
-/// from the serial order, so multi-thread runs are not bitwise equal to
-/// single-thread runs. Dropout must be inactive (p = 0, as the pretraining
-/// reproduction uses) — active dropout would draw from per-replica RNG
-/// streams and diverge from the serial stream.
+/// always run. With more lanes the micro-batches split into contiguous
+/// blocks, each block runs on a clone of `model`, and the replica gradients
+/// merge back into `model` in block order via `axpy(1.0, ·)` (a ×1.0
+/// multiply is exact, so the merge adds no rounding beyond its summation
+/// order). Runs are deterministic for a fixed thread count. Whether they
+/// are bitwise equal to single-lane runs depends on the block sizes:
+///
+/// - When every lane holds one micro-batch (lanes = micro-batches, e.g. 4
+///   lanes on 4), each replica gradient is that micro-batch's gradient and
+///   the block-order merge adds them in the serial order, so the result is
+///   bitwise the single-lane one.
+/// - When a lane holds more than one micro-batch (e.g. 2 lanes on 4), the
+///   lane first sums its own block, so the gradient is associated
+///   `(g0 + g1) + (g2 + g3)` instead of `((g0 + g1) + g2) + g3` and may
+///   differ from the single-lane result in the last bits.
+///
+/// Dropout must be inactive (p = 0, as the pretraining reproduction uses) —
+/// active dropout would draw from per-replica RNG streams and diverge from
+/// the serial stream.
 fn accumulate_micro_batches(
     model: &mut BertForPreTraining,
     batches: &[(PreTrainingBatch, ForwardCtx)],

@@ -161,16 +161,6 @@ impl KfacModel for pipefisher_nn::BertModel {
     }
 }
 
-impl KfacModel for pipefisher_nn::GptForCausalLm {
-    fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        self.visit_linears(f);
-    }
-
-    fn visit_all_params(&mut self, f: ParamVisitor<'_>) {
-        self.visit_params(f);
-    }
-}
-
 impl KfacModel for Linear {
     fn visit_kfac_linears(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         f(self);

@@ -186,6 +186,33 @@ fn serial_resume_is_bitwise_identical_for_lamb_and_kfac() {
     par::set_max_threads(0);
 }
 
+/// A resume checkpoint beyond the requested step count is a caller error on
+/// the serial path exactly as on the pipelined one, not an empty run.
+#[test]
+#[should_panic(expected = "past the requested step count")]
+fn serial_resume_past_the_requested_steps_is_rejected() {
+    let config = BertConfig::tiny(36, 16);
+    let dir = TempCkptDir::new("serial-past-end");
+    let (mut trainer, mut model) = setup(&config, 7);
+    trainer
+        .run_checkpointed(
+            &mut model,
+            &lamb_choice(),
+            4,
+            &train_opts(),
+            &opts_save(dir.save_policy(0)),
+        )
+        .expect("checkpointing run");
+    let (mut trainer, mut model) = setup(&config, 7);
+    let _ = trainer.run_checkpointed(
+        &mut model,
+        &lamb_choice(),
+        2,
+        &train_opts(),
+        &opts_resume(&dir),
+    );
+}
+
 #[test]
 fn pipelined_resume_is_bitwise_identical_for_d2_and_d4() {
     let _gate = par_lock();

@@ -10,8 +10,8 @@
 
 use pipefisher::harness::FaultPlan;
 use pipefisher::lm::{
-    default_watchdog, BatchSampler, ExecError, OptimizerChoice, PipelineOptions, SyntheticLanguage,
-    Trainer,
+    default_watchdog, BatchSampler, ExecError, OptimizerChoice, PipelineOptions, StepMetrics,
+    SyntheticLanguage, Trainer,
 };
 use pipefisher::nn::{BertConfig, BertForPreTraining};
 use pipefisher::optim::{KfacConfig, LrSchedule};
@@ -59,6 +59,26 @@ fn param_bits(model: &mut BertForPreTraining) -> Vec<u64> {
     bits
 }
 
+/// The timing-free fields of each metrics row — step, grad norm, learning
+/// rate and the K-FAC refresh counters — as bits.
+fn metric_bits(rows: &[StepMetrics]) -> Vec<[u64; 6]> {
+    rows.iter()
+        .map(|m| {
+            [
+                m.step as u64,
+                m.grad_norm.to_bits(),
+                m.lr.to_bits(),
+                m.curvature_refreshed as u64,
+                m.curvature_refreshes,
+                m.inversions,
+            ]
+        })
+        .collect()
+}
+
+/// Loss bits, final-parameter bits and [`metric_bits`] of one run.
+type RunBits = (Vec<u64>, Vec<u64>, Vec<[u64; 6]>);
+
 /// Serial baseline at one compute thread: the reference trajectory every
 /// pipelined configuration must reproduce bit for bit.
 fn serial_reference(
@@ -66,7 +86,7 @@ fn serial_reference(
     choice: &OptimizerChoice,
     steps: usize,
     n_micro: usize,
-) -> (Vec<u64>, Vec<u64>) {
+) -> RunBits {
     par::set_max_threads(1);
     let (mut trainer, mut model) = setup(config, 7);
     let run = trainer.run_with_options(
@@ -80,7 +100,7 @@ fn serial_reference(
     );
     par::set_max_threads(0);
     let loss_bits = run.losses.iter().map(|l| l.to_bits()).collect();
-    (loss_bits, param_bits(&mut model))
+    (loss_bits, param_bits(&mut model), metric_bits(&run.metrics))
 }
 
 fn pipelined_bits(
@@ -89,7 +109,7 @@ fn pipelined_bits(
     steps: usize,
     opts: &PipelineOptions,
     threads: usize,
-) -> (Vec<u64>, Vec<u64>) {
+) -> RunBits {
     par::set_max_threads(threads);
     let (mut trainer, model) = setup(config, 7);
     let outcome = trainer
@@ -98,7 +118,11 @@ fn pipelined_bits(
     par::set_max_threads(0);
     let loss_bits = outcome.run.losses.iter().map(|l| l.to_bits()).collect();
     let mut model = outcome.model;
-    (loss_bits, param_bits(&mut model))
+    (
+        loss_bits,
+        param_bits(&mut model),
+        metric_bits(&outcome.run.metrics),
+    )
 }
 
 fn schemes_for(d: usize) -> Vec<PipelineScheme> {
@@ -143,6 +167,12 @@ fn pipelined_kfac_matches_serial_trainer_bitwise() {
                         "final parameters diverged: {} D={d} threads={threads}",
                         scheme.name()
                     );
+                    assert_eq!(
+                        got.2,
+                        reference.2,
+                        "metrics rows diverged: {} D={d} threads={threads}",
+                        scheme.name()
+                    );
                 }
             }
         }
@@ -173,6 +203,12 @@ fn pipelined_lamb_matches_serial_trainer_bitwise() {
                     "final parameters diverged: {} D={d} threads={threads}",
                     scheme.name()
                 );
+                assert_eq!(
+                    got.2,
+                    reference.2,
+                    "metrics rows diverged: {} D={d} threads={threads}",
+                    scheme.name()
+                );
             }
         }
     }
@@ -194,6 +230,7 @@ fn unfilled_bubbles_produce_identical_results() {
     let b = pipelined_bits(&config, &choice, steps, &unfilled, 2);
     assert_eq!(a.0, b.0, "losses depend on bubble filling");
     assert_eq!(a.1, b.1, "parameters depend on bubble filling");
+    assert_eq!(a.2, b.2, "metrics rows depend on bubble filling");
 }
 
 /// Every-step inversion at factor sizes that straddle the blocked
@@ -239,6 +276,12 @@ fn blocked_inversion_in_bubbles_matches_serial_bitwise() {
             got.1,
             reference.1,
             "final parameters diverged: {}",
+            scheme.name()
+        );
+        assert_eq!(
+            got.2,
+            reference.2,
+            "metrics rows diverged: {}",
             scheme.name()
         );
     }
@@ -299,6 +342,7 @@ fn raised_watchdog_tolerates_slow_stage_skew() {
     let got = pipelined_bits(&config, &choice, steps, &opts, 1);
     assert_eq!(got.0, reference.0, "skewed losses diverged");
     assert_eq!(got.1, reference.1, "skewed parameters diverged");
+    assert_eq!(got.2, reference.2, "skewed metrics rows diverged");
 }
 
 /// Direction 2: the same skew with a watchdog below it aborts as Wedged
