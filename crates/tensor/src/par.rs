@@ -17,9 +17,17 @@
 //! * While a caller waits for its tasks it *help-drains* the queue, so the
 //!   caller lane is never idle and a queue shared by concurrent scopes
 //!   cannot starve anyone.
-//! * A task that itself calls into the pool (nested parallelism) runs its
-//!   sub-tasks inline on the worker — tasks never block on other tasks, so
-//!   the pool cannot deadlock.
+//! * A pool task never forks: any pool call made while a task runs
+//!   (nested parallelism) runs inline, on whichever thread runs the task —
+//!   a worker, the submitting caller's own task, or a job the caller pulled
+//!   while help-draining. Parallelism is therefore one level deep, tasks
+//!   never block on other tasks, and the pool cannot deadlock.
+//!   The rule is keyed on the task, not on worker threads, because a
+//!   caller that forks inside its own task queues its chunks and then
+//!   help-drains the FIFO queue, which hands it the next *sibling* task,
+//!   which forks again: in `Kfac::step` at 2 lanes that nested the caller
+//!   24 layer tasks deep while the worker ran only the tiny GEMM chunks
+//!   (busy 6 of 21 ms per optimizer step).
 //! * Panics inside tasks are caught, the scope still joins every task, and
 //!   the first payload is re-thrown on the caller.
 //!
@@ -53,8 +61,9 @@ static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_THRESHOLD);
 const DEFAULT_PAR_THRESHOLD: usize = 250_000;
 
 thread_local! {
-    /// True on pool worker threads; nested parallel calls run inline.
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// True while this thread runs a pool task; pool calls made from inside
+    /// a task run inline.
+    static IN_TASK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Maximum concurrent lanes (caller + workers) a parallel call may use.
@@ -178,7 +187,6 @@ impl Pool {
             let rx = self.rx.clone();
             let name = format!("pipefisher-par-{}", *spawned);
             let res = std::thread::Builder::new().name(name).spawn(move || {
-                IN_POOL_WORKER.with(|f| f.set(true));
                 while let Ok(job) = rx.recv() {
                     job();
                 }
@@ -197,9 +205,9 @@ impl Pool {
 /// Tasks may borrow local state: the scope blocks until all tasks finish
 /// (even when one panics), so borrows cannot escape. The caller executes
 /// tasks too — one task is always run inline, and the caller help-drains
-/// the queue while waiting. With one lane ([`max_threads`] == 1), on a
-/// pool worker (nested parallelism), or when workers cannot be spawned,
-/// tasks simply run serially in order on the current thread.
+/// the queue while waiting. With one lane ([`max_threads`] == 1), from
+/// inside a pool task (nested parallelism), or when workers cannot be
+/// spawned, tasks simply run serially in order on the current thread.
 ///
 /// # Panics
 ///
@@ -213,7 +221,7 @@ pub fn run_tasks<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
     // ran it, so Perfetto shows per-lane pool occupancy.
     let _scope_span = pipefisher_trace::span("par_scope", "pool");
     let lanes = max_threads();
-    let inline = lanes <= 1 || tasks.len() == 1 || IN_POOL_WORKER.with(|f| f.get());
+    let inline = lanes <= 1 || tasks.len() == 1 || IN_TASK.with(|f| f.get());
     if inline {
         for task in tasks {
             let _task_span = pipefisher_trace::span("par_task", "pool");
@@ -235,8 +243,18 @@ pub fn run_tasks<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new({
             let latch = std::sync::Arc::clone(&latch);
             move || {
-                let _task_span = pipefisher_trace::span("par_task", "pool");
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+                // Jobs only ever start outside a task (a task never forks,
+                // so it never help-drains), hence the flag resets to false.
+                let result = {
+                    // The span closes before the count-down: once the latch
+                    // opens the caller may return and drain the trace.
+                    let _task_span = pipefisher_trace::span("par_task", "pool");
+                    IN_TASK.with(|f| f.set(true));
+                    let result = catch_unwind(AssertUnwindSafe(task));
+                    IN_TASK.with(|f| f.set(false));
+                    result
+                };
+                if let Err(payload) = result {
                     latch.record_panic(payload);
                 }
                 latch.count_down();
@@ -420,9 +438,10 @@ where
 }
 
 /// Lanes a kernel of `rows` output rows and `work` multiply–adds should
-/// use: 1 (serial) below the threshold, else `min(max_threads, rows)`.
+/// use: 1 (serial) below the threshold or inside a pool task, else
+/// `min(max_threads, rows)`.
 fn effective_lanes(rows: usize, work: usize) -> usize {
-    if work < par_threshold() || IN_POOL_WORKER.with(|f| f.get()) {
+    if work < par_threshold() || IN_TASK.with(|f| f.get()) {
         return 1;
     }
     max_threads().min(rows.max(1))
@@ -592,6 +611,44 @@ mod tests {
         }
         set_max_threads(0);
         set_par_threshold(DEFAULT_PAR_THRESHOLD);
+    }
+
+    #[test]
+    fn nested_calls_stay_inside_their_task() {
+        // No thread may run a pool task while it is inside another one. A
+        // caller that forked inside its own task would help-drain sibling
+        // outer tasks off the shared queue and run them nested.
+        thread_local! {
+            static DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        }
+        let _guard = settings_lock();
+        set_max_threads(2);
+        set_par_threshold(0);
+        let max_depth = AtomicUsize::new(0);
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..16)
+            .map(|_| {
+                let max_depth = &max_depth;
+                Box::new(move || {
+                    let depth = DEPTH.with(|d| {
+                        d.set(d.get() + 1);
+                        d.get()
+                    });
+                    max_depth.fetch_max(depth, Ordering::Relaxed);
+                    let mut inner = vec![0.0f64; 64];
+                    par_chunks_mut(&mut inner, 64, 1, usize::MAX, |start, chunk| {
+                        for (i, v) in chunk.iter_mut().enumerate() {
+                            *v = (start + i) as f64;
+                        }
+                    });
+                    assert!(inner.iter().enumerate().all(|(i, v)| *v == i as f64));
+                    DEPTH.with(|d| d.set(d.get() - 1));
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        run_tasks(tasks);
+        set_max_threads(0);
+        set_par_threshold(DEFAULT_PAR_THRESHOLD);
+        assert_eq!(max_depth.load(Ordering::Relaxed), 1, "task nesting depth");
     }
 
     #[test]
